@@ -37,6 +37,53 @@ void AppendDouble(std::string& s, double d) {
   AppendU64(s, bits);
 }
 
+// ReuseCache key of one query node's candidate list:
+// fingerprint + 'N' + canonical node signature.
+std::string CandidateCacheKey(const std::string& config_fingerprint,
+                              const query::QueryNode& n) {
+  std::string key = config_fingerprint;
+  key += 'N';
+  key += query::CanonicalNodeSignature(n);
+  return key;
+}
+
+// ReuseCache key of one canonical star's top-list, or "" when the
+// canonicalization is not exact (such stars are never memoized).
+std::string StarCacheKey(const std::string& config_fingerprint,
+                         const QueryGraph& q, const StarQuery& star,
+                         const std::vector<double>& node_weights) {
+  const query::CanonicalStar canon =
+      query::CanonicalizeStar(q, star, node_weights);
+  if (!canon.exact) return {};
+  std::string key = config_fingerprint;
+  key += 'S';
+  key += canon.signature;
+  return key;
+}
+
+// One NodeCandidateInfo per query node from the scorer's memoized
+// candidate lists (never triggers computation).
+std::vector<NodeCandidateInfo> CollectNodeCandidateInfo(
+    const QueryGraph& q, const QueryScorer& scorer) {
+  const scoring::MatchConfig& cfg = scorer.config();
+  std::vector<NodeCandidateInfo> out(q.node_count());
+  for (int u = 0; u < q.node_count(); ++u) {
+    NodeCandidateInfo& info = out[u];
+    info.wildcard = q.node(u).wildcard;
+    info.sampled = cfg.sampling() && !info.wildcard;
+    const auto* list = scorer.CandidatesIfReady(u);
+    if (list == nullptr) continue;
+    info.computed = true;
+    if (!list->empty()) {
+      info.top_score = list->front().score;
+      info.cut_score = list->back().score;
+    }
+    info.cut_applied =
+        cfg.max_candidates > 0 && list->size() == cfg.max_candidates;
+  }
+  return out;
+}
+
 }  // namespace
 
 std::string StarOptionsFingerprint(const StarOptions& o, bool has_index) {
@@ -110,49 +157,8 @@ std::vector<double> AlphaNodeWeights(const QueryGraph& q,
   return weights;
 }
 
-std::string CandidateCacheKey(const std::string& config_fingerprint,
-                              const query::QueryNode& n) {
-  std::string key = config_fingerprint;
-  key += 'N';
-  key += query::CanonicalNodeSignature(n);
-  return key;
-}
-
-std::string StarCacheKey(const std::string& config_fingerprint,
-                         const QueryGraph& q, const StarQuery& star,
-                         const std::vector<double>& node_weights) {
-  const query::CanonicalStar canon =
-      query::CanonicalizeStar(q, star, node_weights);
-  if (!canon.exact) return {};
-  std::string key = config_fingerprint;
-  key += 'S';
-  key += canon.signature;
-  return key;
-}
-
 std::vector<GraphMatch> StarFramework::TopK(const QueryGraph& q, size_t k) {
   return TopK(q, k, nullptr);
-}
-
-std::vector<NodeCandidateInfo> CollectNodeCandidateInfo(
-    const QueryGraph& q, const QueryScorer& scorer) {
-  const scoring::MatchConfig& cfg = scorer.config();
-  std::vector<NodeCandidateInfo> out(q.node_count());
-  for (int u = 0; u < q.node_count(); ++u) {
-    NodeCandidateInfo& info = out[u];
-    info.wildcard = q.node(u).wildcard;
-    info.sampled = cfg.sampling() && !info.wildcard;
-    const auto* list = scorer.CandidatesIfReady(u);
-    if (list == nullptr) continue;
-    info.computed = true;
-    if (!list->empty()) {
-      info.top_score = list->front().score;
-      info.cut_score = list->back().score;
-    }
-    info.cut_applied =
-        cfg.max_candidates > 0 && list->size() == cfg.max_candidates;
-  }
-  return out;
 }
 
 void StarFramework::SeedCandidateLists(const QueryGraph& q,

@@ -44,17 +44,11 @@ CachedStarStream::CachedStarStream(scoring::QueryScorer& scorer,
                                    StarSearch::Options options,
                                    ReuseCache* cache, std::string key,
                                    uint64_t generation)
-    : CachedStarStream(std::make_unique<StarSearch>(scorer, std::move(star),
-                                                    std::move(options)),
-                       cache, std::move(key), generation) {}
-
-CachedStarStream::CachedStarStream(std::unique_ptr<StarStreamEngine> engine,
-                                   ReuseCache* cache, std::string key,
-                                   uint64_t generation)
     : cache_(cache),
       key_(std::move(key)),
       generation_(generation),
-      search_(std::move(engine)) {
+      search_(std::make_unique<StarSearch>(scorer, std::move(star),
+                                           std::move(options))) {
   StarMatch probe;
   probe.pivot = 0;
   probe.leaves.assign(search_->star().edges.size(), 0);

@@ -85,14 +85,6 @@ class CachedStarStream : public CoveredMatchIterator {
                    StarSearch::Options options, ReuseCache* cache,
                    std::string key, uint64_t generation);
 
-  /// Same semantics over any StarStreamEngine (the sharded coordinator
-  /// wraps its merged per-shard stream this way). The engine must honor
-  /// the StarStreamEngine monotonicity contract; replay/resume then works
-  /// unchanged because the merged stream is deterministic per canonical
-  /// star, exactly like a cold StarSearch.
-  CachedStarStream(std::unique_ptr<StarStreamEngine> engine, ReuseCache* cache,
-                   std::string key, uint64_t generation);
-
   std::optional<GraphMatch> Next() override;
   double UpperBound() const override;
   uint64_t covered_mask() const override { return covered_; }
@@ -125,7 +117,7 @@ class CachedStarStream : public CoveredMatchIterator {
   ReuseCache* cache_;
   std::string key_;
   uint64_t generation_ = 0;
-  std::unique_ptr<StarStreamEngine> search_;
+  std::unique_ptr<StarSearch> search_;
   uint64_t covered_ = 0;
 
   std::optional<StarTopList> entry_;  // recorded prefix, if any

@@ -1,6 +1,7 @@
 #include "graph/graph_io.h"
 
 #include <algorithm>
+#include <charconv>
 #include <fstream>
 #include <iterator>
 #include <sstream>
@@ -23,6 +24,14 @@ std::string EncodeName(std::string_view name) {
     if (c == ' ' || c == '\t') c = '_';
   }
   return out;
+}
+
+// Parses a decimal id field; false on anything but digits or on a value
+// past uint64_t (a hostile file must get a Status, never an exception).
+bool ParseId(std::string_view field, uint64_t* out) {
+  const char* end = field.data() + field.size();
+  const auto [ptr, ec] = std::from_chars(field.data(), end, *out);
+  return ec == std::errc() && ptr == end;
 }
 
 std::string DecodeName(const std::string& encoded) {
@@ -94,8 +103,8 @@ Result<KnowledgeGraph> LoadGraph(std::istream& in, GraphLayout layout) {
     };
     if (fields[0] == "N") {
       if (fields.size() < 4) return fail("node line needs 4 fields");
-      if (!IsNumeric(fields[1])) return fail("bad node id");
-      const uint64_t id = std::stoull(fields[1]);
+      uint64_t id = 0;
+      if (!ParseId(fields[1], &id)) return fail("bad node id");
       if (id != builder.node_count()) return fail("non-dense node id");
       // Re-join label fields in case the label itself contained tabs.
       std::string label = fields[3];
@@ -103,11 +112,10 @@ Result<KnowledgeGraph> LoadGraph(std::istream& in, GraphLayout layout) {
       builder.AddNode(std::move(label), DecodeName(fields[2]));
     } else if (fields[0] == "E") {
       if (fields.size() < 4) return fail("edge line needs 4 fields");
-      if (!IsNumeric(fields[1]) || !IsNumeric(fields[2])) {
+      uint64_t s = 0, d = 0;
+      if (!ParseId(fields[1], &s) || !ParseId(fields[2], &d)) {
         return fail("bad edge endpoint");
       }
-      const uint64_t s = std::stoull(fields[1]);
-      const uint64_t d = std::stoull(fields[2]);
       if (s >= builder.node_count() || d >= builder.node_count()) {
         return fail("edge endpoint out of range");
       }

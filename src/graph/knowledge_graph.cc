@@ -122,15 +122,11 @@ EdgeId KnowledgeGraph::Builder::AddEdge(NodeId src, NodeId dst,
   const EdgeId id = static_cast<EdgeId>(srcs_.size());
   srcs_.push_back(src);
   dsts_.push_back(dst);
-  relations_.push_back(InternRelation(std::move(relation)));
-  return id;
-}
-
-uint32_t KnowledgeGraph::Builder::InternRelation(std::string relation) {
   auto [it, inserted] = relation_index_.try_emplace(
       relation, static_cast<uint32_t>(relation_names_.size()));
   if (inserted) relation_names_.push_back(std::move(relation));
-  return it->second;
+  relations_.push_back(it->second);
+  return id;
 }
 
 KnowledgeGraph KnowledgeGraph::Builder::Build(GraphLayout layout) && {

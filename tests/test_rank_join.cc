@@ -1,5 +1,6 @@
 #include "core/rank_join.h"
 
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -17,13 +18,23 @@ using star::testing::ScorerFixture;
 using star::testing::SmallRandomGraph;
 using star::testing::TestConfig;
 
-/// A scripted monotone iterator for controlled join tests.
+/// A scripted monotone iterator for controlled join tests. With
+/// `cancel_after` set, the stream emits that many matches and then ends
+/// by cancellation: Next() reports nullopt, cancelled() turns true, and
+/// UpperBound() keeps bounding the unseen rest of the script.
 class ScriptedStream : public CoveredMatchIterator {
  public:
-  ScriptedStream(uint64_t covered, std::vector<GraphMatch> matches)
-      : covered_(covered), matches_(std::move(matches)) {}
+  ScriptedStream(uint64_t covered, std::vector<GraphMatch> matches,
+                 size_t cancel_after = std::numeric_limits<size_t>::max())
+      : covered_(covered),
+        matches_(std::move(matches)),
+        cancel_after_(cancel_after) {}
 
   std::optional<GraphMatch> Next() override {
+    if (pos_ >= cancel_after_) {
+      cancelled_ = true;
+      return std::nullopt;
+    }
     if (pos_ >= matches_.size()) return std::nullopt;
     return matches_[pos_++];
   }
@@ -36,11 +47,14 @@ class ScriptedStream : public CoveredMatchIterator {
   }
 
   uint64_t covered_mask() const override { return covered_; }
+  bool cancelled() const override { return cancelled_; }
 
  private:
   uint64_t covered_;
   std::vector<GraphMatch> matches_;
+  size_t cancel_after_;
   size_t pos_ = 0;
+  bool cancelled_ = false;
 };
 
 GraphMatch MakeMatch(std::vector<graph::NodeId> mapping, double score) {
@@ -147,6 +161,54 @@ TEST(RankJoinTest, DisjointStreamsCrossProduct) {
   size_t count = 0;
   while (join.Next().has_value()) ++count;
   EXPECT_EQ(count, 4u);
+}
+
+TEST(RankJoinTest, CancelledInputStopsTheJoinInsideATieGroup) {
+  // Left: L0, then the equal-score tie group {L1, L2}. Right holds each
+  // one's partner. Uncancelled: L0+R0 (3.0), L2+R1 (2.0), L1+R2 (1.5).
+  const auto left_script = [] {
+    return std::vector<GraphMatch>{MakeMatch({12, 22, X}, 1.5),
+                                   MakeMatch({10, 20, X}, 1.0),
+                                   MakeMatch({11, 21, X}, 1.0)};
+  };
+  const auto right_script = [] {
+    return std::vector<GraphMatch>{MakeMatch({X, 22, 32}, 1.5),
+                                   MakeMatch({X, 21, 31}, 1.0),
+                                   MakeMatch({X, 20, 30}, 0.5)};
+  };
+  std::vector<GraphMatch> full;
+  {
+    RankJoin join(std::make_unique<ScriptedStream>(0b011, left_script()),
+                  std::make_unique<ScriptedStream>(0b110, right_script()),
+                  true);
+    while (auto m = join.Next()) full.push_back(std::move(*m));
+    EXPECT_FALSE(join.cancelled());
+  }
+  ASSERT_EQ(full.size(), 3u);
+  EXPECT_EQ(full[0].mapping, (std::vector<graph::NodeId>{12, 22, 32}));
+  EXPECT_EQ(full[1].mapping, (std::vector<graph::NodeId>{11, 21, 31}));
+  EXPECT_EQ(full[2].mapping, (std::vector<graph::NodeId>{10, 20, 30}));
+
+  // The left input is cancelled inside its tie group: L1 is emitted, L2
+  // never is. Treating that nullopt as exhaustion would drop the left
+  // bound from the threshold and emit the buffered L1+R2 (1.5) ahead of
+  // the unseen L2+R1 (2.0), which is not a prefix of the run above.
+  RankJoin join(
+      std::make_unique<ScriptedStream>(0b011, left_script(), /*cancel_after=*/2),
+      std::make_unique<ScriptedStream>(0b110, right_script()), true);
+  std::vector<GraphMatch> got;
+  while (auto m = join.Next()) got.push_back(std::move(*m));
+  EXPECT_TRUE(join.cancelled());
+  ASSERT_LE(got.size(), full.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].mapping, full[i].mapping) << "rank " << i;
+    EXPECT_EQ(got[i].score, full[i].score) << "rank " << i;
+  }
+  // L0+R0 was certified before the cancellation and stays emitted.
+  EXPECT_EQ(got.size(), 1u);
+  // The poisoned join stays ended.
+  EXPECT_FALSE(join.Next().has_value());
+  EXPECT_TRUE(join.cancelled());
 }
 
 TEST(StarMatchStreamTest, CoversPivotAndLeaves) {
