@@ -124,6 +124,9 @@ struct EquivCase {
   int seed;
   int d;
   bool injective;
+  // gtest names each case by the raw bytes of its parameter; zeroed padding
+  // keeps those names the same from run to run.
+  char pad[3] = {};
 };
 
 class StarEquivalence : public ::testing::TestWithParam<EquivCase> {};
